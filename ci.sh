@@ -31,8 +31,10 @@
 #   ./ci.sh server-smoke  sweep-server end-to-end: the stacking-study
 #                         example in --smoke mode (submit over loopback,
 #                         reassemble the stream, bit-compare every wire
-#                         cell to a direct run), plus the sweep_server
-#                         binary driven over a real socket
+#                         cell to a direct run), the sweep_server
+#                         binary driven over a real socket, and the
+#                         perfbench package's own tests (its workload
+#                         and metric consistency checks)
 #   ./ci.sh perf          bench smoke: bench_e2e --smoke gated against the
 #                         committed BENCH_PR10.json + codec kernel smoke
 #   ./ci.sh quick         fast local pre-commit check (lint + release tests)
@@ -184,7 +186,12 @@ print("sweep_server smoke: 1 cell streamed, job done, drained")
 PYEOF
     wait "$server_pid" || rc=$?
     rm -f "$logfile"
-    return "$rc"
+    [ "$rc" -eq 0 ] || return "$rc"
+
+    echo "==> perfbench tests (benchmark consistency checks)"
+    # perfbench is a package of its own (own workspace and lockfile), so
+    # the workspace legs above never build or test it.
+    cargo test --offline --manifest-path perfbench/Cargo.toml
 }
 
 perf() {

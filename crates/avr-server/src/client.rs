@@ -20,12 +20,15 @@ pub struct Client {
 }
 
 /// Everything one job streamed back: per-cell result events (indexed by
-/// cell position in the submitted batch; `None` for cancelled cells) and
-/// the terminal completed/cancelled counts.
+/// cell position in the submitted batch; `None` for failed and cancelled
+/// cells) and the terminal completed/failed/cancelled counts.
 #[derive(Debug)]
 pub struct JobOutcome {
     pub job: u64,
     pub completed: u64,
+    /// Cells whose simulation panicked; each streamed a `cell_error` event
+    /// naming the cell and the panic message instead of a result.
+    pub failed: u64,
     pub cancelled: u64,
     /// Full `result` events in batch order (`spec` + `metrics` objects).
     pub results: Vec<Option<Json>>,
@@ -161,6 +164,7 @@ impl Client {
                     return Ok(JobOutcome {
                         job,
                         completed: count("completed")?,
+                        failed: count("failed")?,
                         cancelled: count("cancelled")?,
                         results,
                     });

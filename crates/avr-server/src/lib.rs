@@ -40,7 +40,7 @@ pub mod server;
 pub use client::{Client, JobOutcome};
 pub use json::Json;
 pub use proto::{
-    cell_from_json, cell_to_json, error_response, job_done_event, metrics_to_json, result_event,
-    Request,
+    cell_error_event, cell_from_json, cell_to_json, error_response, job_done_event,
+    metrics_to_json, result_event, Request,
 };
-pub use server::{base_config, SweepServer};
+pub use server::{base_config, CellRunner, SweepServer, MAX_REQUEST_LINE};

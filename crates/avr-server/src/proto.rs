@@ -13,10 +13,13 @@
 //! ```
 //!
 //! Replies are objects with `"ok"` (direct responses) or `"event"`
-//! (asynchronous per-cell results and job completions). Every event carries
-//! the job id, so a client that reconnects can resume a stream with
-//! `results`. The result encoding is total: every `RunMetrics` field rides
-//! the wire, integers as exact decimals (see [`crate::json`]).
+//! (asynchronous per-cell `result`s, `cell_error`s for cells whose
+//! simulation panicked, and `job_done` with completed/failed/cancelled
+//! counts). Every event carries the job id, so a client that reconnects can
+//! resume a stream with `results`. The result encoding is total: every
+//! `RunMetrics` field rides the wire, integers as exact decimals (see
+//! [`crate::json`]). A request line may be at most
+//! [`crate::server::MAX_REQUEST_LINE`] bytes long.
 
 use crate::json::Json;
 use avr_sim::{Counters, EnergyBreakdown, RunMetrics};
@@ -158,8 +161,9 @@ pub fn cell_to_json(cell: &CellSpec) -> Json {
     Json::Obj(fields)
 }
 
-/// Decode a cell spec, rejecting unknown labels (not unknown keys — extra
-/// keys are ignored so the wire format can grow).
+/// Decode a cell spec, rejecting unknown labels and out-of-range overrides
+/// ([`ConfigOverrides::validate`]) but not unknown keys — extra keys are
+/// ignored so the wire format can grow.
 pub fn cell_from_json(doc: &Json) -> Result<CellSpec, String> {
     let workload = doc
         .get("workload")
@@ -205,6 +209,7 @@ pub fn cell_from_json(doc: &Json) -> Result<CellSpec, String> {
         mram_p10: f("mram_p10")?,
         retry_budget: u("retry_budget")?,
     };
+    cell.overrides.validate().map_err(|e| e.to_string())?;
     Ok(cell)
 }
 
@@ -327,13 +332,27 @@ pub fn result_event(job: u64, cell: usize, spec: &CellSpec, metrics: &RunMetrics
     .render()
 }
 
-/// Terminal event of a job: all cells accounted for (completed + cancelled
-/// = batch size).
-pub fn job_done_event(job: u64, completed: usize, cancelled: usize) -> String {
+/// A cell whose simulation panicked, rendered as a wire line in place of
+/// its result. The rest of the batch is unaffected.
+pub fn cell_error_event(job: u64, cell: usize, spec: &CellSpec, message: &str) -> String {
+    Json::obj([
+        ("event", Json::from("cell_error")),
+        ("job", Json::from(job)),
+        ("cell", Json::from(cell)),
+        ("spec", cell_to_json(spec)),
+        ("error", Json::from(message)),
+    ])
+    .render()
+}
+
+/// Terminal event of a job: all cells accounted for (completed + failed +
+/// cancelled = batch size).
+pub fn job_done_event(job: u64, completed: usize, failed: usize, cancelled: usize) -> String {
     Json::obj([
         ("event", Json::from("job_done")),
         ("job", Json::from(job)),
         ("completed", Json::from(completed)),
+        ("failed", Json::from(failed)),
         ("cancelled", Json::from(cancelled)),
     ])
     .render()
@@ -396,6 +415,11 @@ mod tests {
         assert!(Request::parse("not json").unwrap_err().contains("bad json"));
         assert!(Request::parse("{\"cmd\":\"fly\"}").unwrap_err().contains("fly"));
         assert!(Request::parse("{\"cmd\":\"submit\",\"cells\":[]}").is_err());
+        let err = Request::parse(
+            "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"orbit\"},{\"workload\":\"orbit\",\"t1\":-1}]}",
+        )
+        .unwrap_err();
+        assert!(err.contains("cell 1") && err.contains("t1"), "{err}");
     }
 
     #[test]

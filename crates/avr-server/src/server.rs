@@ -23,22 +23,53 @@
 //! [`Workload::cost_hint`], with the first cell of each distinct
 //! (workload, scale) boosted so memoized golden runs compute early
 //! (mirroring `run_grid_layouts`).
+//!
+//! # Failure containment
+//!
+//! A cell whose simulation panics fails alone: the panic is caught on its
+//! pool worker and streamed as a `cell_error` event naming the cell and the
+//! panic message, the rest of the batch runs, and `job_done` counts it under
+//! `failed`. Out-of-range config overrides never get that far — they are
+//! rejected at submit ([`avr_types::ConfigOverrides::validate`]).
+//!
+//! # Wire path
+//!
+//! Every session runs with `TCP_NODELAY`. Without it a one-cell request
+//! stalls for the peer's delayed ACK: the small submit ack goes out, the
+//! client has nothing to send back, and Nagle's algorithm holds the result
+//! and `job_done` lines until the ACK timer fires (≥ 40 ms on Linux). The
+//! session writer also coalesces: it writes every line already queued in
+//! its outbox before one flush, so a batch's last result and its `job_done`
+//! leave in one write. Request lines are read through a bound of
+//! [`MAX_REQUEST_LINE`] bytes; a longer line earns an error reply and closes
+//! the session, since the reader cannot resync mid-line.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 
 use avr_core::pool::env_threads;
 use avr_core::{PoolControl, SimPool};
-use avr_types::{BenchScale, CellSpec, SystemConfig};
+use avr_sim::RunMetrics;
+use avr_types::{BenchScale, CellSpec, DesignKind, LayoutKind, SystemConfig};
 use avr_workloads::runner::GOLDEN_CELL_BOOST;
 use avr_workloads::{golden, run_on_design_in, workload_by_name, workload_names, Workload};
 
 use crate::json::Json;
 use crate::proto::{self, Request};
+
+/// Longest request line a session accepts, in bytes, not counting the
+/// newline: 1 MiB, room for several thousand fully-overridden cells in one submit.
+/// Larger sweeps split into several submits.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// How the engine simulates one cell: [`run_on_design_in`] unless replaced
+/// with [`SweepServer::with_runner`].
+pub type CellRunner = fn(&dyn Workload, &SystemConfig, DesignKind, LayoutKind) -> RunMetrics;
 
 /// The scale-default base config a cell's overrides apply to — the same
 /// mapping the bench harness uses, so a wire cell with no overrides is the
@@ -71,7 +102,7 @@ impl Phase {
 enum JobPhase {
     Queued,
     Running,
-    Done { completed: usize, cancelled: usize },
+    Done { completed: usize, failed: usize, cancelled: usize },
 }
 
 impl JobPhase {
@@ -93,6 +124,9 @@ struct JobState {
     tag: Option<String>,
     specs: Vec<CellSpec>,
     ctl: PoolControl,
+    /// Cells that panicked so far (`ctl` counts them as finished, and a
+    /// little later than this).
+    failed: AtomicU64,
     inner: Mutex<JobInner>,
 }
 
@@ -111,6 +145,7 @@ impl JobState {
             tag,
             specs,
             ctl: PoolControl::new(),
+            failed: AtomicU64::new(0),
             inner: Mutex::new(JobInner {
                 phase: JobPhase::Queued,
                 results: vec![None; cells],
@@ -130,10 +165,10 @@ impl JobState {
     }
 
     /// Seal the job: record the terminal event and release subscribers.
-    fn finish(&self, completed: usize, cancelled: usize) {
+    fn finish(&self, completed: usize, failed: usize, cancelled: usize) {
         let mut inner = self.inner.lock().unwrap();
-        inner.phase = JobPhase::Done { completed, cancelled };
-        let line = Arc::new(proto::job_done_event(self.id, completed, cancelled));
+        inner.phase = JobPhase::Done { completed, failed, cancelled };
+        let line = Arc::new(proto::job_done_event(self.id, completed, failed, cancelled));
         inner.done_line = Some(line.clone());
         for tx in inner.subs.drain(..) {
             let _ = tx.send(line.clone());
@@ -160,16 +195,20 @@ impl JobState {
 
     fn status_json(&self) -> Json {
         let inner = self.inner.lock().unwrap();
-        let (completed, cancelled) = match inner.phase {
-            JobPhase::Queued => (0, 0),
-            JobPhase::Running => (self.ctl.finished(), 0),
-            JobPhase::Done { completed, cancelled } => (completed, cancelled),
+        let (completed, failed, cancelled) = match inner.phase {
+            JobPhase::Queued => (0, 0, 0),
+            JobPhase::Running => {
+                let failed = self.failed.load(Ordering::Relaxed) as usize;
+                (self.ctl.finished().saturating_sub(failed), failed, 0)
+            }
+            JobPhase::Done { completed, failed, cancelled } => (completed, failed, cancelled),
         };
         let mut fields = vec![
             ("job".to_string(), Json::from(self.id)),
             ("state".to_string(), Json::from(inner.phase.label())),
             ("cells".to_string(), Json::from(self.specs.len())),
             ("completed".to_string(), Json::from(completed)),
+            ("failed".to_string(), Json::from(failed)),
             ("cancelled".to_string(), Json::from(cancelled)),
         ];
         if let Some(tag) = &self.tag {
@@ -186,6 +225,7 @@ struct QueueState {
 
 struct ServerState {
     pool: SimPool,
+    runner: CellRunner,
     addr: SocketAddr,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
@@ -193,6 +233,7 @@ struct ServerState {
     next_job: AtomicU64,
     current: Mutex<Option<Arc<JobState>>>,
     completed_cells: AtomicU64,
+    failed_cells: AtomicU64,
     worker_busy: Vec<AtomicBool>,
     worker_cells: Vec<AtomicU64>,
     engine_done: AtomicBool,
@@ -222,6 +263,7 @@ impl SweepServer {
         let threads = pool.threads();
         let state = Arc::new(ServerState {
             pool,
+            runner: run_on_design_in,
             addr,
             queue: Mutex::new(QueueState { phase: Phase::Accepting, queue: VecDeque::new() }),
             queue_cv: Condvar::new(),
@@ -229,11 +271,21 @@ impl SweepServer {
             next_job: AtomicU64::new(0),
             current: Mutex::new(None),
             completed_cells: AtomicU64::new(0),
+            failed_cells: AtomicU64::new(0),
             worker_busy: (0..threads).map(|_| AtomicBool::new(false)).collect(),
             worker_cells: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             engine_done: AtomicBool::new(false),
         });
         Ok(SweepServer { listener, state })
+    }
+
+    /// Simulate cells with `runner` instead of [`run_on_design_in`]. No
+    /// cell that passes submit validation panics, so the loopback tests
+    /// reach the failure-containment path through a runner that panics on
+    /// a chosen cell.
+    pub fn with_runner(mut self, runner: CellRunner) -> SweepServer {
+        Arc::get_mut(&mut self.state).expect("the server is not running yet").runner = runner;
+        self
     }
 
     pub fn local_addr(&self) -> SocketAddr {
@@ -291,7 +343,7 @@ fn engine_loop(state: &Arc<ServerState>) {
                     drop(q);
                     for job in leftovers {
                         job.ctl.cancel();
-                        job.finish(0, job.specs.len());
+                        job.finish(0, 0, job.specs.len());
                     }
                     return;
                 }
@@ -309,7 +361,8 @@ fn engine_loop(state: &Arc<ServerState>) {
 }
 
 /// Execute one batch on the pool. Cells were validated at submit, so the
-/// registry lookups here cannot fail.
+/// registry lookups here cannot fail; a cell that panics anyway is caught
+/// and reported as failed (see the module docs).
 fn run_batch(state: &Arc<ServerState>, job: &Arc<JobState>) {
     *state.current.lock().unwrap() = Some(job.clone());
     {
@@ -349,45 +402,127 @@ fn run_batch(state: &Arc<ServerState>, job: &Arc<JobState>) {
             let r = &resolved[ctx.index];
             let spec = &job.specs[r.spec_index];
             state.worker_busy[ctx.worker].store(true, Ordering::Relaxed);
-            let metrics = run_on_design_in(r.workload.as_ref(), &r.cfg, spec.design, spec.layout);
-            job.publish(r.spec_index, proto::result_event(job.id, r.spec_index, spec, &metrics));
+            // Unwind safety: the cell's `System` is its own and dropped on
+            // unwind, the workload is read-only, and the golden cache holds
+            // its map lock only for a probe (a panicking golden run leaves
+            // its once-cell empty for the next caller).
+            let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                (state.runner)(r.workload.as_ref(), &r.cfg, spec.design, spec.layout)
+            }));
+            let line = match &run {
+                Ok(metrics) => {
+                    state.completed_cells.fetch_add(1, Ordering::Relaxed);
+                    proto::result_event(job.id, r.spec_index, spec, metrics)
+                }
+                Err(payload) => {
+                    job.failed.fetch_add(1, Ordering::Relaxed);
+                    state.failed_cells.fetch_add(1, Ordering::Relaxed);
+                    proto::cell_error_event(job.id, r.spec_index, spec, &panic_message(&**payload))
+                }
+            };
+            job.publish(r.spec_index, line);
             state.worker_cells[ctx.worker].fetch_add(1, Ordering::Relaxed);
-            state.completed_cells.fetch_add(1, Ordering::Relaxed);
             state.worker_busy[ctx.worker].store(false, Ordering::Relaxed);
+            run.is_ok()
         },
         &job.ctl,
     );
-    let completed = out.iter().filter(|cell| cell.is_some()).count();
-    job.finish(completed, resolved.len() - completed);
+    let completed = out.iter().filter(|cell| **cell == Some(true)).count();
+    let failed = out.iter().filter(|cell| **cell == Some(false)).count();
+    job.finish(completed, failed, resolved.len() - completed - failed);
     *state.current.lock().unwrap() = None;
+}
+
+/// The text of a caught panic's payload (`panic!` with a literal or a
+/// formatted message; anything else gets a placeholder).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let text = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-text panic payload");
+    format!("cell panicked: {text}")
+}
+
+/// What one bounded read of a request line found.
+enum RequestLine {
+    /// A complete line, newline stripped, is in the buffer.
+    Line,
+    /// More than [`MAX_REQUEST_LINE`] bytes without a newline.
+    TooLong,
+    /// The peer closed the connection.
+    Eof,
+}
+
+/// Read one request line into `buf`, reading at most one byte past
+/// [`MAX_REQUEST_LINE`] so an over-long line is detected without
+/// buffering it.
+fn read_request(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<RequestLine> {
+    buf.clear();
+    if reader.take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', buf)? == 0 {
+        return Ok(RequestLine::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_REQUEST_LINE {
+        return Ok(RequestLine::TooLong);
+    }
+    // (A final line without a newline is still a request.)
+    Ok(RequestLine::Line)
 }
 
 /// One connection: a blocking reader loop here, plus a writer thread that
 /// owns the outbox channel. Responses and subscribed events share the
 /// outbox, so everything a session emits is serialized in one place.
 fn session(state: &Arc<ServerState>, stream: TcpStream) {
+    // Failing to set it costs latency only (see the module docs).
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else { return };
     let (tx, rx) = mpsc::channel::<Arc<String>>();
     let writer = thread::spawn(move || {
         let mut out = BufWriter::new(write_half);
-        for line in rx {
-            if out.write_all(line.as_bytes()).is_err()
-                || out.write_all(b"\n").is_err()
-                || out.flush().is_err()
-            {
+        // Everything already queued goes out before one flush.
+        while let Ok(first) = rx.recv() {
+            let sent = std::iter::once(first)
+                .chain(std::iter::from_fn(|| rx.try_recv().ok()))
+                .try_for_each(|line| {
+                    out.write_all(line.as_bytes())?;
+                    out.write_all(b"\n")
+                })
+                .and_then(|()| out.flush());
+            if sent.is_err() {
                 // Dropping `rx` makes every subsequent subscriber send
                 // fail, which prunes this session from job fan-out lists.
                 break;
             }
         }
     });
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        match read_request(&mut reader, &mut buf) {
+            Ok(RequestLine::Line) => {}
+            Ok(RequestLine::TooLong) => {
+                // The rest of the line is unread and there is no request
+                // boundary to resync on: reply, then end the session.
+                let _ = tx.send(Arc::new(proto::error_response(&format!(
+                    "request line exceeds {MAX_REQUEST_LINE} bytes; closing the connection"
+                ))));
+                break;
+            }
+            Ok(RequestLine::Eof) | Err(_) => break,
         }
-        if dispatch(state, &line, &tx).is_err() {
+        let handled = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => Ok(()),
+            Ok(line) => dispatch(state, line, &tx),
+            Err(_) => tx
+                .send(Arc::new(proto::error_response("request line is not valid UTF-8")))
+                .map_err(|_| ()),
+        };
+        if handled.is_err() {
             break;
         }
     }
@@ -531,6 +666,7 @@ fn status(state: &Arc<ServerState>) -> String {
         ("workers", Json::from(state.pool.threads())),
         ("worker_util", workers),
         ("completed_cells", Json::from(state.completed_cells.load(Ordering::Relaxed))),
+        ("failed_cells", Json::from(state.failed_cells.load(Ordering::Relaxed))),
         (
             "golden",
             Json::obj([

@@ -36,6 +36,31 @@ impl ConfigOverrides {
         *self == ConfigOverrides::default()
     }
 
+    /// Check every set knob against its legal range, naming the first
+    /// offender. Values that pass cannot trip the simulator's own
+    /// asserts (`Thresholds::new` panics on T1 outside (0,1) or T2 <= 0),
+    /// and device rates stay probabilities. NaN fails every range.
+    pub fn validate(&self) -> Result<(), OverrideError> {
+        let float = |field, value: Option<f64>, expected, ok: fn(f64) -> bool| match value {
+            Some(v) if !ok(v) => Err(OverrideError { field, value: v.to_string(), expected }),
+            _ => Ok(()),
+        };
+        let probability = |v: f64| (0.0..=1.0).contains(&v);
+        float("t1", self.t1, "in (0, 1)", |v| v > 0.0 && v < 1.0)?;
+        float("t2", self.t2, "finite and > 0", |v| v > 0.0 && v.is_finite())?;
+        float("retention_fail_per_bit", self.retention_fail_per_bit, "in [0, 1]", probability)?;
+        float("mram_p01", self.mram_p01, "in [0, 1]", probability)?;
+        float("mram_p10", self.mram_p10, "in [0, 1]", probability)?;
+        if self.refresh_multiplier == Some(0) {
+            return Err(OverrideError {
+                field: "refresh_multiplier",
+                value: "0".to_string(),
+                expected: ">= 1",
+            });
+        }
+        Ok(())
+    }
+
     /// Apply every set knob onto `cfg`.
     pub fn apply(&self, cfg: &mut SystemConfig) {
         if let Some(v) = self.t1 {
@@ -61,6 +86,25 @@ impl ConfigOverrides {
         }
     }
 }
+
+/// A [`ConfigOverrides`] knob outside its legal range.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OverrideError {
+    /// The offending knob, by its field (and wire) name.
+    pub field: &'static str,
+    /// The rejected value as text.
+    pub value: String,
+    /// The legal range.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for OverrideError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} = {} is out of range (must be {})", self.field, self.value, self.expected)
+    }
+}
+
+impl std::error::Error for OverrideError {}
 
 /// One grid cell of a sweep-server batch: everything needed to reproduce
 /// the cell as a direct `run_on_design_in` call. The default cell is the
@@ -147,6 +191,47 @@ mod tests {
         // Untouched knobs keep the base values.
         assert_eq!(cfg.avr.t2, base.avr.t2);
         assert_eq!(cfg.error_model.retention_fail_per_bit, base.error_model.retention_fail_per_bit);
+    }
+
+    #[test]
+    fn validate_accepts_defaults_and_legal_edges() {
+        assert_eq!(ConfigOverrides::default().validate(), Ok(()));
+        let edges = ConfigOverrides {
+            t1: Some(0.5),
+            t2: Some(4.0),
+            retention_fail_per_bit: Some(0.0),
+            refresh_multiplier: Some(1),
+            mram_p01: Some(1.0),
+            mram_p10: Some(0.0),
+            retry_budget: Some(0),
+        };
+        assert_eq!(edges.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        type Set = fn(&mut ConfigOverrides);
+        let cases: [(&str, Set); 12] = [
+            ("t1", |o| o.t1 = Some(0.0)),
+            ("t1", |o| o.t1 = Some(1.0)),
+            ("t1", |o| o.t1 = Some(-1.0)),
+            ("t1", |o| o.t1 = Some(f64::NAN)),
+            ("t2", |o| o.t2 = Some(0.0)),
+            ("t2", |o| o.t2 = Some(f64::NAN)),
+            ("t2", |o| o.t2 = Some(f64::INFINITY)),
+            ("retention_fail_per_bit", |o| o.retention_fail_per_bit = Some(1.5)),
+            ("refresh_multiplier", |o| o.refresh_multiplier = Some(0)),
+            ("mram_p01", |o| o.mram_p01 = Some(-0.1)),
+            ("mram_p10", |o| o.mram_p10 = Some(2.0)),
+            ("mram_p10", |o| o.mram_p10 = Some(f64::NAN)),
+        ];
+        for (field, set) in cases {
+            let mut o = ConfigOverrides::default();
+            set(&mut o);
+            let err = o.validate().unwrap_err();
+            assert_eq!(err.field, field, "{o:?}");
+            assert!(err.to_string().starts_with(field), "{err}");
+        }
     }
 
     #[test]

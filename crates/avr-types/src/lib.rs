@@ -17,6 +17,6 @@ pub use config::{
     AvrParams, BackendKind, BenchScale, CacheGeometry, DesignKind, DramParams, ErrorModelParams,
     LayoutKind, MemoParams, SystemConfig,
 };
-pub use job::{CellSpec, ConfigOverrides};
+pub use job::{CellSpec, ConfigOverrides, OverrideError};
 pub use line::CacheLine;
 pub use value::{DataType, VALUES_PER_BLOCK, VALUES_PER_LINE};

@@ -1,16 +1,20 @@
 //! Loopback tests of the sweep server: the determinism contract (batch
 //! results bit-identical to serial `run_grid_layouts` at any worker
-//! width), reconnect replay, error handling, cancellation, and drain.
+//! width), reconnect replay, error handling and failure containment,
+//! request-size bounds, wire latency, cancellation, and drain.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use avr::arch::{DesignKind, LayoutKind, SimPool, SystemConfig};
-use avr::server::{metrics_to_json, Client, Json, SweepServer};
+use avr::server::{base_config, metrics_to_json, Client, Json, SweepServer, MAX_REQUEST_LINE};
+use avr::sim::RunMetrics;
 use avr::types::{BackendKind, BenchScale, CellSpec};
-use avr::workloads::{all_benchmarks, run_grid_layouts, GridRun};
+use avr::workloads::{
+    all_benchmarks, run_grid_layouts, run_on_design_in, workload_by_name, GridRun, Workload,
+};
 
 /// The serial reference: `run_grid_layouts` on one worker, with the
 /// backend pinned exact the way the wire layer pins it (`CellSpec::config`
@@ -164,6 +168,27 @@ fn malformed_and_invalid_requests_get_error_replies_without_wedging() {
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{bad}");
         assert!(reply.get("error").is_some(), "{bad}");
     }
+    // Out-of-range overrides are refused at submit with an error naming
+    // the field — one case per validated knob (JSON has no NaN literal;
+    // 1e999 parses to infinity).
+    for (field, value) in [
+        ("t1", "-1"),
+        ("t1", "1.5"),
+        ("t2", "0"),
+        ("t2", "1e999"),
+        ("retention_fail_per_bit", "1.5"),
+        ("refresh_multiplier", "0"),
+        ("mram_p01", "-0.5"),
+        ("mram_p10", "2"),
+    ] {
+        let bad = format!(
+            "{{\"cmd\":\"submit\",\"cells\":[{{\"workload\":\"orbit\",\"{field}\":{value}}}]}}"
+        );
+        let reply = send(&mut reader, &bad);
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{bad}");
+        let error = reply.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains(&format!("{field} = ")), "{bad}: {error}");
+    }
     // The unknown-workload error names the registry.
     let reply = send(&mut reader, "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"warp\"}]}");
     assert!(reply.get("error").unwrap().as_str().unwrap().contains("heat"));
@@ -197,6 +222,158 @@ fn malformed_and_invalid_requests_get_error_replies_without_wedging() {
     }
 
     let mut client = Client::connect(addr).unwrap();
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// Marks the cell [`panic_on_marked_seed`] panics on.
+const PANIC_SEED: u64 = 0xdead;
+
+/// `run_on_design_in`, except that a cell with the marked fault seed
+/// panics, as a simulator bug would.
+fn panic_on_marked_seed(
+    workload: &dyn Workload,
+    cfg: &SystemConfig,
+    design: DesignKind,
+    layout: LayoutKind,
+) -> RunMetrics {
+    assert_ne!(cfg.error_model.seed, PANIC_SEED, "injected cell failure");
+    run_on_design_in(workload, cfg, design, layout)
+}
+
+/// The direct-run result of `cell`, rendered as the wire renders it.
+fn direct_line(cell: &CellSpec) -> String {
+    let workload = workload_by_name(&cell.workload, cell.scale).unwrap();
+    let cfg = cell.config(&base_config(cell.scale));
+    metrics_to_json(&run_on_design_in(workload.as_ref(), &cfg, cell.design, cell.layout)).render()
+}
+
+#[test]
+fn a_panicking_cell_fails_alone_and_the_engine_keeps_serving() {
+    let server = SweepServer::bind_with("127.0.0.1:0", SimPool::new(2))
+        .unwrap()
+        .with_runner(panic_on_marked_seed);
+    let (addr, handle) = server.spawn();
+    let mut client = Client::connect(addr).unwrap();
+
+    let mut bad = CellSpec::new("orbit");
+    bad.seed = Some(PANIC_SEED);
+    let good = CellSpec::new("heat");
+    let job = client.submit(vec![bad, good.clone()]).unwrap();
+    let mut error = None;
+    loop {
+        let event = client.next_event().unwrap();
+        match event.get("event").and_then(Json::as_str) {
+            Some("cell_error") => error = Some(event),
+            Some("result") => assert_eq!(event.get("cell").and_then(Json::as_u64), Some(1)),
+            Some("job_done") => {
+                assert_eq!(event.get("completed").and_then(Json::as_u64), Some(1));
+                assert_eq!(event.get("failed").and_then(Json::as_u64), Some(1));
+                assert_eq!(event.get("cancelled").and_then(Json::as_u64), Some(0));
+                break;
+            }
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+    let error = error.expect("the panicking cell streams a cell_error event");
+    assert_eq!(error.get("job").and_then(Json::as_u64), Some(job));
+    assert_eq!(error.get("cell").and_then(Json::as_u64), Some(0));
+    let message = error.get("error").and_then(Json::as_str).unwrap();
+    assert!(message.contains("injected cell failure"), "{message}");
+
+    // A replay carries the failure too, and the client counts it.
+    client.results(job, 0).unwrap();
+    let outcome = client.collect_job(job).unwrap();
+    assert_eq!((outcome.completed, outcome.failed, outcome.cancelled), (1, 1, 0));
+    assert!(outcome.results[0].is_none(), "a failed cell has no result");
+
+    // The engine survived: a valid cell on the same connection completes
+    // and is byte-identical to a direct run.
+    let job = client.submit(vec![CellSpec::new("orbit")]).unwrap();
+    let outcome = client.collect_job(job).unwrap();
+    assert_eq!((outcome.completed, outcome.failed), (1, 0));
+    let metrics = outcome.results[0].as_ref().unwrap().get("metrics").unwrap().render();
+    assert_eq!(metrics, direct_line(&CellSpec::new("orbit")));
+    let status = client.status().unwrap();
+    assert_eq!(status.get("failed_cells").and_then(Json::as_u64), Some(1));
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn an_over_long_request_line_is_refused_and_the_server_keeps_serving() {
+    let server = SweepServer::bind_with("127.0.0.1:0", SimPool::new(1)).unwrap();
+    let (addr, handle) = server.spawn();
+
+    // One byte past the limit, no newline: the server reads exactly this
+    // much, replies, and closes the connection.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let reply = Json::parse(reply.trim()).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let error = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains(&MAX_REQUEST_LINE.to_string()), "the error states the limit: {error}");
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "the session closes");
+
+    // A line that is not UTF-8 gets an error reply without ending the
+    // session, and a request of exactly the limit is still read.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = b"{\"cmd\":\"status\"}".to_vec();
+    line.resize(MAX_REQUEST_LINE, b' ');
+    line.push(b'\n');
+    for (request, ok) in [(&b"\xff\xfe\n"[..], false), (&line[..], true)] {
+        stream.write_all(request).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let reply = Json::parse(reply.trim()).unwrap();
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(ok), "{reply:?}");
+    }
+
+    // A fresh connection is served normally.
+    let mut client = Client::connect(addr).unwrap();
+    let job = client.submit(vec![CellSpec::new("heat")]).unwrap();
+    assert_eq!(client.collect_job(job).unwrap().completed, 1);
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// A one-cell request must not wait on TCP timers. With Nagle's algorithm
+/// on the server's sockets, the result line waited for the client's
+/// delayed ACK of the submit ack (>= 40 ms on Linux) on every request.
+/// Measured against a direct run of the same cell, so the bound holds in
+/// debug builds and on the scalar codec arm alike.
+#[test]
+fn one_cell_round_trips_pay_no_delayed_ack_stall() {
+    let server = SweepServer::bind_with("127.0.0.1:0", SimPool::new(1)).unwrap();
+    let (addr, handle) = server.spawn();
+    let mut client = Client::connect(addr).unwrap();
+    let mut cell = CellSpec::new("kmeans");
+    cell.design = DesignKind::Baseline;
+    let workload = workload_by_name(&cell.workload, cell.scale).unwrap();
+    let cfg = cell.config(&base_config(cell.scale));
+
+    let mut overhead_ms = Vec::new();
+    for _ in 0..20 {
+        let t = Instant::now();
+        let job = client.submit(vec![cell.clone()]).unwrap();
+        assert_eq!(client.collect_job(job).unwrap().completed, 1);
+        let round_trip = t.elapsed();
+        let t = Instant::now();
+        run_on_design_in(workload.as_ref(), &cfg, cell.design, cell.layout);
+        let direct = t.elapsed();
+        overhead_ms.push((round_trip.as_secs_f64() - direct.as_secs_f64()) * 1e3);
+    }
+    overhead_ms.sort_by(f64::total_cmp);
+    let median = overhead_ms[overhead_ms.len() / 2];
+    assert!(median < 20.0, "median round-trip overhead {median:.2} ms: {overhead_ms:?}");
+
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
 }
